@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 brokerbench/run.py --workload fanout-fresh --seed 1 --seconds 20 --trace 0
+    python3 brokerbench/run.py --workload fanout-fresh --seed 1 --seconds 30 --trace 0
 
 One client thread drives the public ``Broker``/``ShardedBroker`` API in a
 closed loop: each call waits for its result, the way the web app's
@@ -12,9 +12,10 @@ phase of one of them for ``--seconds``.  It then checks the outputs: a
 reference-engine oracle on sampled publishes plus workload self-checks.
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` alternates
 traced and untraced blocks, times churn calls on the set-up repetitions,
-and prints the per-layer metrics with the tracing overhead beside them.  The last line of standard
-output is the result object; the line before it carries the provenance,
-sample counts and base counts.  The exit code is 1 when any check failed.
+and prints the per-layer metrics with the tracing overhead beside them.
+The last line of standard output is the result object; the line before
+it carries the provenance, sample counts and base counts.  The exit code
+is 1 when any check failed.
 """
 
 from __future__ import annotations
