@@ -8,11 +8,11 @@ One client thread drives the public ``Broker``/``ShardedBroker`` API in a
 closed loop: each call waits for its result, the way the web app's
 request handler does.  A run builds the workload ``SETUP_REPEATS`` times
 (set-up time and the cold prefix are the medians) and measures the steady
-phase of one of them for ``--seconds``.  It then checks the outputs: a
+phase of the last one for ``--seconds``.  It then checks the outputs: a
 reference-engine oracle on sampled publishes plus workload self-checks.
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` alternates
-traced and untraced blocks, times churn calls on the set-up repetitions,
-and prints the per-layer metrics with the tracing overhead beside them.
+traced and untraced blocks and prints the per-layer metrics with the
+tracing overhead beside them.
 The last line of standard output is the result object; the line before
 it carries the provenance, sample counts and base counts.  The exit code
 is 1 when any check failed.
@@ -26,22 +26,25 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
-import resource
 import statistics
 import sys
 import time
 import traceback
 from pathlib import Path
 
-#: set-ups per run: the measured one, and the rest split before and after it
-SETUP_REPEATS = 7
+#: set-ups per run, the measured one last
+SETUP_REPEATS = 11
 COLD_PUBLISHES = 30
-#: unsubscribe/subscribe pairs timed on each set-up repetition in traced
-#: runs of workloads without churn in the steady phase; the untraced half
-#: gives churn.p50_ms/churn.p99_ms (1500 calls, 15 beyond p99)
-PROBE_CHURN_PAIRS = 250
+#: peak_rss_mb is read when this many steady publishes have completed, so
+#: the figure counts what the program retains per publish without
+#: depending on its speed
+RSS_AT_PUBLISHES = 300
+#: the steady phase also runs on until it has this many publishes, so p99
+#: has at least ten samples beyond it
+MIN_PUBLISHES = 1000
 ORACLE_SAMPLES = 8
 #: every this many publishes the client keeps the match set for the oracle;
 #: it keeps no report, so the benchmark adds little to the heap the
@@ -54,6 +57,11 @@ PREGENERATE_RATE = 150
 REPLAY_HIT_FLOOR = 0.6
 #: traced runs alternate traced and untraced blocks of this length
 TRACE_BLOCK_SECONDS = 0.5
+#: the client moves to the next core every this many seconds of steady
+#: phase, and each set-up repetition runs on the next core: the cores of a
+#: shared machine change speed independently, and a run that stayed on one
+#: would take on that core's state
+CORE_SWITCH_SECONDS = 1.0
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -69,7 +77,15 @@ def _rss_mb() -> float:
 
 
 def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """Peak resident memory of this process and its live children (the
+    shard workers of a process-sharded broker)."""
+    peak = 0
+    for pid in ["self", *(child.pid for child in multiprocessing.active_children())]:
+        with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    peak += int(line.split()[1])
+    return peak / 1024.0
 
 
 class Session:
@@ -81,10 +97,10 @@ class Session:
         self.publishers = deployment.publishers
         self.tracer = tracer
         self.tracing = False
-        # registrations and resident subscribes are broker calls too
         residents = deployment.subscriptions
-        self.attempted = len(deployment.subscribers) + len(deployment.publishers)
-        self.attempted += len(residents)
+        #: publishes and churn calls issued; a set-up call that fails
+        #: raises out of ``deploy`` and ends the run
+        self.attempted = 0
         self.failures: list[str] = []
         self.failed_calls = 0
         self.ops: list[tuple] = [("sub", sub_id, text) for sub_id, text, _ in residents]
@@ -265,81 +281,67 @@ def run(
     setups, colds, digests = [], [], []
     #: (calls attempted, calls failed, failure messages) of the repetitions
     rep_calls: list[tuple[int, int, list[str]]] = []
-    churn_latencies: list[float] = []
     tracer = Tracer() if trace else None
+    # shard workers inherit the affinity of the process that starts them,
+    # so a sharded broker's client stays where the scheduler puts it
+    cores = [] if workload.shards else sorted(os.sched_getaffinity(0))
 
-    def set_up(tag: str, probe_pairs: int = 0, traced: bool = False):
-        """Build a fresh deployment, run the cold prefix on it, then time
-        *probe_pairs* unsubscribe/subscribe pairs (*traced* or not)."""
+    def set_up(tag: str):
+        """Build a fresh deployment and run the cold prefix on it."""
         # every timed section starts from a collected heap, so the garbage
         # of earlier sections does not decide where collections fall
         gc.collect()
+        if cores:
+            os.sched_setaffinity(0, {cores[len(setups) % len(cores)]})
         deployment = deploy(workload, inputs, str(scratch), f"{os.getpid()}-{tag}")
         try:
             session = Session(deployment, inputs, tracer)
             setups.append(deployment.setup_seconds)
             colds.append(_cold_prefix(session))
             digests.append(session.digest())
-            if probe_pairs:
-                if traced:
-                    tracer.install(deployment.broker)
-                    session.tracing = True
-                try:
-                    for _ in range(probe_pairs):
-                        latencies = session.churn()
-                        if not traced:
-                            churn_latencies.extend(latencies)
-                finally:
-                    if traced:
-                        tracer.uninstall()
-                        session.tracing = False
         except BaseException:
             deployment.close()
             raise
         return deployment, session
 
-    def repeat_set_up(repetitions: range) -> None:
-        """Set up and close again; in traced runs of workloads without
-        churn, also time churn calls, which leaves the measured broker's
-        subscriptions as built."""
-        probe = 0 if workload.churn_pairs or not trace else PROBE_CHURN_PAIRS
-        for repetition in repetitions:
-            extra, rep_session = set_up(f"rep{repetition}", probe, traced=repetition % 2 == 1)
-            extra.close()
-            rep_calls.append(
-                (rep_session.attempted, rep_session.failed_calls, rep_session.failures)
-            )
-            # a closed broker must not stay alive through the next set-up
-            del extra, rep_session
-
-    # Half the set-up repetitions run before the measured broker is built
-    # and half after it is closed: set-up and cold time sample the host's
-    # drifting speed at both ends of the run, and no other broker's garbage
-    # or worker fleet shares the measured broker's steady phase.
-    repeat_set_up(range(1, SETUP_REPEATS // 2 + 1))
+    # Every repetition runs before the measured broker is built: one that
+    # ran after its steady phase would set up on the heap that phase left
+    # behind, and a faster program leaves a larger one.  A closed broker
+    # must not stay alive through the next set-up.
+    for repetition in range(1, SETUP_REPEATS):
+        extra, rep_session = set_up(f"rep{repetition}")
+        extra.close()
+        rep_calls.append((rep_session.attempted, rep_session.failed_calls, rep_session.failures))
+        del extra, rep_session
     deployment, session = set_up("main")
     broker = deployment.broker
     lap("setup_and_cold")
-    # the built broker's footprint; the steady phase's growth is reported
-    # per publish, so a faster program is not charged for doing more work
-    peak_rss = _peak_rss_mb()
     try:
         # -- steady phase ----------------------------------------------------------------
         before = _counts(broker)
         gc.collect()
         first_timed = session.next_event
         latencies: list[float] = []
+        churn_latencies: list[float] = []
         phase_time = {False: 0.0, True: 0.0}
         phase_publishes = {False: 0, True: 0}
         churn_calls = 0
+        peak_rss = None
         rss_before = _rss_mb()
         gen2_before = gc.get_stats()[2]["collections"]
+        on_core = None
         now = time.perf_counter()
         deadline = now + seconds
-        while now < deadline:
+        while now < deadline or session.publishes - COLD_PUBLISHES < MIN_PUBLISHES:
             generated = inputs.generation_seconds
             # traced and untraced blocks alternate on the phase's own clock
-            block = (phase_time[False] + phase_time[True]) // TRACE_BLOCK_SECONDS
+            clock = phase_time[False] + phase_time[True]
+            if cores:
+                core = cores[int(clock // CORE_SWITCH_SECONDS) % len(cores)]
+                if core != on_core:
+                    os.sched_setaffinity(0, {core})
+                    on_core = core
+            block = clock // TRACE_BLOCK_SECONDS
             if trace and session.tracing != (block % 2 == 1):
                 if session.tracing:
                     tracer.uninstall()
@@ -360,10 +362,15 @@ def run(
             phase_time[session.tracing] += (
                 after_op - now - (inputs.generation_seconds - generated)
             )
+            if peak_rss is None and session.publishes - COLD_PUBLISHES >= RSS_AT_PUBLISHES:
+                peak_rss = _peak_rss_mb()
+                after_op = time.perf_counter()
             now = after_op
         if session.tracing:
             tracer.uninstall()
             session.tracing = False
+        if cores:
+            os.sched_setaffinity(0, cores)
         rss_growth = _rss_mb() - rss_before
         gen2_collections = gc.get_stats()[2]["collections"] - gen2_before
         elapsed = phase_time[False] + phase_time[True]
@@ -372,13 +379,10 @@ def run(
         lap("steady")
     finally:
         deployment.close()
-    # the oracle needs only the knowledge base; the measured broker's heap
-    # must not stay alive through the later set-ups
+    # the oracle needs only the knowledge base
     kb = broker.kb
     session.broker = None
     del deployment, broker
-    repeat_set_up(range(SETUP_REPEATS // 2 + 1, SETUP_REPEATS))
-    lap("setup_repetitions")
 
     # -- checks -------------------------------------------------------------------------
     delta = {key: after[key] - before[key] for key in after}
@@ -424,16 +428,25 @@ def run(
     kept = [op[1] for op in session.ops if op[0] == "pub" and op[3] is not None]
     sampled = set(kept[:: math.ceil(len(kept) / ORACLE_SAMPLES)])
     lap("checks")
-    for message in replay(kb, session.ops, sampled):
-        session._fail(f"oracle: {message}")
+    mismatches = [f"oracle: {message}" for message in replay(kb, session.ops, sampled)]
     lap("oracle")
 
     # -- results -------------------------------------------------------------------------
     latencies.sort()
     churn_latencies.sort()
-    failed = session.failed_calls + sum(calls[1] for calls in rep_calls) + len(problems)
+    # ok_ops_ratio covers the measured broker's publishes and churn calls;
+    # each sampled publish stands for the share of publishes it was drawn
+    # from, so one wrong match set moves the ratio by that share
+    estimated_failed = session.failed_calls + len(mismatches) * session.publishes / len(sampled)
+    ok_ratio = max(0.0, 1 - estimated_failed / session.attempted)
+    failed = (
+        session.failed_calls + len(mismatches) + len(problems)
+        + sum(calls[1] for calls in rep_calls)
+    )
     attempted = session.attempted + sum(calls[0] for calls in rep_calls)
-    failures = session.failures + [message for calls in rep_calls for message in calls[2]]
+    failures = (
+        session.failures + mismatches + [message for calls in rep_calls for message in calls[2]]
+    )
     publishes_per_s = timed_publishes / elapsed
     base = {
         "timed_publishes": timed_publishes,
@@ -451,6 +464,10 @@ def run(
         "phase_seconds": phases,
         "match_digest": digests[0],
         "oracle_sampled_publishes": len(sampled),
+        "oracle_mismatches": len(mismatches),
+        "measured_calls_attempted": session.attempted,
+        "measured_calls_failed": session.failed_calls,
+        "rss_at_publishes": RSS_AT_PUBLISHES,
         "broker_calls_attempted": attempted,
         "broker_calls_failed": failed,
         "timed_counts": delta,
@@ -463,7 +480,7 @@ def run(
             "publish_p99_ms": (_percentile(latencies, 0.99) * 1e3, "ms"),
             "setup_s": (statistics.median(setups), "s"),
             "peak_rss_mb": (peak_rss, "MB"),
-            "ok_ops_ratio": ((attempted - failed) / attempted, "ratio"),
+            "ok_ops_ratio": (ok_ratio, "ratio"),
         }
     else:
         metrics = _layer_metrics(
@@ -544,12 +561,14 @@ def _layer_metrics(
     def count(key: str) -> tuple[float, str]:
         return delta[key], "count"
 
+    churn_p50 = statistics.median(churn_latencies) * 1e3 if churn_latencies else 0.0
+    churn_p99 = _percentile(churn_latencies, 0.99) * 1e3 if churn_latencies else 0.0
     untraced_eps = _ratio(phase_publishes[False], phase_time[False])
     traced_eps = _ratio(phase_publishes[True], phase_time[True])
     return {
         "cold_publish_s": (statistics.median(colds), "s"),
-        "churn.p50_ms": (statistics.median(churn_latencies) * 1e3, "ms"),
-        "churn.p99_ms": (_percentile(churn_latencies, 0.99) * 1e3, "ms"),
+        "churn.p50_ms": (churn_p50, "ms"),
+        "churn.p99_ms": (churn_p99, "ms"),
         "parser.parse_event.ms_per_publish": ms("parser.parse_event"),
         "parser.parse_subscription.ms_per_op": ms_per_call("parser.parse_subscription"),
         "dispatcher.publish.self_ms_per_publish": ms("dispatcher.publish", own=True),
