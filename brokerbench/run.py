@@ -621,6 +621,20 @@ def _layer_metrics(
     }
 
 
+def _reap_children() -> None:
+    """Stop every process the run started and wait for each to end.
+
+    ``close()`` joins a sharded broker's workers, but its shared-memory
+    segment starts multiprocessing's resource tracker, which would otherwise
+    outlive this process and be left unreaped."""
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join()
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -645,9 +659,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     scratch = root / ".brokerbench"
     scratch.mkdir(exist_ok=True)
-    result, detail, problems = run(
-        args.workload, args.seed, args.seconds, bool(args.trace), scratch
-    )
+    try:
+        result, detail, problems = run(
+            args.workload, args.seed, args.seconds, bool(args.trace), scratch
+        )
+    finally:
+        _reap_children()
     for problem in problems:
         print(f"brokerbench: FAILED: {problem}", file=sys.stderr)
     detail_path = scratch / f"detail-{args.workload}-s{args.seed}-t{args.trace}.json"
