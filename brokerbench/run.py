@@ -2,13 +2,15 @@
 
 Usage (from the repository root)::
 
-    python3 brokerbench/run.py --workload fanout-fresh --seed 1 --seconds 30 --trace 0
+    python3 brokerbench/run.py --workload fanout-fresh --seed 1 --seconds 15 --trace 0
 
 One client thread drives the public ``Broker``/``ShardedBroker`` API in a
 closed loop: each call waits for its result, the way the web app's
 request handler does.  A run builds the workload ``SETUP_REPEATS`` times
 (set-up time and the cold prefix are the medians) and measures the steady
-phase of the last one for ``--seconds``.  It then checks the outputs: a
+phase of the last one for ``--seconds``.  Timings are scaled by the host's
+speed, read from a fixed reference loop timed beside them (see
+``_reference_seconds``).  It then checks the outputs: a
 reference-engine oracle on sampled publishes plus workload self-checks.
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` alternates
 traced and untraced blocks and prints the per-layer metrics with the
@@ -36,15 +38,16 @@ import traceback
 from pathlib import Path
 
 #: set-ups per run, the measured one last
-SETUP_REPEATS = 11
+SETUP_REPEATS = 7
 COLD_PUBLISHES = 30
 #: peak_rss_mb is read when this many steady publishes have completed, so
 #: the figure counts what the program retains per publish without
 #: depending on its speed
 RSS_AT_PUBLISHES = 300
 #: the steady phase also runs on until it has this many publishes, so p99
-#: has at least ten samples beyond it
-MIN_PUBLISHES = 1000
+#: has fifteen samples beyond it and lies past the program's few full
+#: garbage collections (about eight in 1500 publishes of churn-deep)
+MIN_PUBLISHES = 1500
 ORACLE_SAMPLES = 8
 #: every this many publishes the client keeps the match set for the oracle;
 #: it keeps no report, so the benchmark adds little to the heap the
@@ -62,6 +65,17 @@ TRACE_BLOCK_SECONDS = 0.5
 #: shared machine change speed independently, and a run that stayed on one
 #: would take on that core's state
 CORE_SWITCH_SECONDS = 1.0
+#: the steady phase times the reference loop every this many seconds
+REFERENCE_EVERY_SECONDS = 0.25
+#: passes of the reference loop per sample (the fastest counts) and loop
+#: iterations per pass (1.5 ms in the fast state of the machine this was
+#: written on, 3 ms in its slow state)
+REFERENCE_PASSES = 3
+REFERENCE_ITERATIONS = 5000
+#: timings are reported as if every reference pass had taken this long
+#: (about the fast state of the machine this was written on)
+REFERENCE_NOMINAL_S = 0.0015
+_REFERENCE_WORDS = [f"term{i}-{i * 7 % 13}" for i in range(64)]
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -86,6 +100,30 @@ def _peak_rss_mb() -> float:
                 if line.startswith("VmHWM:"):
                     peak += int(line.split()[1])
     return peak / 1024.0
+
+
+def _reference_seconds() -> float:
+    """Seconds one pass of a fixed pure-Python loop takes: dict, tuple,
+    string and call work of the kind the program does, with garbage
+    collection held off so the program's heap does not enter it."""
+    words = _REFERENCE_WORDS
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        best = math.inf
+        for _ in range(REFERENCE_PASSES):
+            started = time.perf_counter()
+            counts: dict[tuple[str, int], int] = {}
+            for i in range(REFERENCE_ITERATIONS):
+                word = words[i % 64]
+                key = (word.partition("-")[0], i & 7)
+                counts[key] = counts.get(key, 0) + len(word)
+            sorted(counts.items())
+            best = min(best, time.perf_counter() - started)
+    finally:
+        if enabled:
+            gc.enable()
+    return best
 
 
 class Session:
@@ -279,6 +317,8 @@ def run(
 
     # -- set-up and cold prefix, repeated ------------------------------------------
     setups, colds, digests = [], [], []
+    #: reference-loop seconds around each set-up
+    setup_refs: list[float] = []
     #: (calls attempted, calls failed, failure messages) of the repetitions
     rep_calls: list[tuple[int, int, list[str]]] = []
     tracer = Tracer() if trace else None
@@ -293,8 +333,10 @@ def run(
         gc.collect()
         if cores:
             os.sched_setaffinity(0, {cores[len(setups) % len(cores)]})
+        reference = _reference_seconds()
         deployment = deploy(workload, inputs, str(scratch), f"{os.getpid()}-{tag}")
         try:
+            setup_refs.append((reference + _reference_seconds()) / 2)
             session = Session(deployment, inputs, tracer)
             setups.append(deployment.setup_seconds)
             colds.append(_cold_prefix(session))
@@ -322,6 +364,12 @@ def run(
         gc.collect()
         first_timed = session.next_event
         latencies: list[float] = []
+        #: reference-loop samples; an operation belongs to the window
+        #: that the latest sample before it opened
+        references = [_reference_seconds()]
+        next_reference = REFERENCE_EVERY_SECONDS
+        window_time: list[float] = [0.0]
+        latency_windows: list[int] = []
         churn_latencies: list[float] = []
         phase_time = {False: 0.0, True: 0.0}
         phase_publishes = {False: 0, True: 0}
@@ -348,6 +396,12 @@ def run(
                 else:
                     tracer.install(broker)
                 session.tracing = not session.tracing
+            if clock >= next_reference:
+                # on the core the next window runs on; not phase time
+                references.append(_reference_seconds())
+                window_time.append(0.0)
+                next_reference += REFERENCE_EVERY_SECONDS
+                now = time.perf_counter()
             for _ in range(workload.churn_pairs):
                 churn = session.churn()
                 churn_calls += len(churn)
@@ -356,12 +410,13 @@ def run(
             latency = session.publish()
             if latency is not None:
                 latencies.append(latency)
+                latency_windows.append(len(references) - 1)
                 phase_publishes[session.tracing] += 1
             after_op = time.perf_counter()
             # input generated on demand is not the program's time
-            phase_time[session.tracing] += (
-                after_op - now - (inputs.generation_seconds - generated)
-            )
+            op_time = after_op - now - (inputs.generation_seconds - generated)
+            phase_time[session.tracing] += op_time
+            window_time[-1] += op_time
             if peak_rss is None and session.publishes - COLD_PUBLISHES >= RSS_AT_PUBLISHES:
                 peak_rss = _peak_rss_mb()
                 after_op = time.perf_counter()
@@ -432,6 +487,16 @@ def run(
     lap("oracle")
 
     # -- results -------------------------------------------------------------------------
+    # host-speed scaling: a window's time and latencies count as if its
+    # reference pass had taken REFERENCE_NOMINAL_S, and so does a set-up
+    scale = [REFERENCE_NOMINAL_S / reference for reference in references]
+    scaled_seconds = sum(seconds * factor for seconds, factor in zip(window_time, scale))
+    scaled_latencies = sorted(
+        latency * scale[window] for latency, window in zip(latencies, latency_windows)
+    )
+    scaled_setups = [
+        setup * REFERENCE_NOMINAL_S / reference for setup, reference in zip(setups, setup_refs)
+    ]
     latencies.sort()
     churn_latencies.sort()
     # ok_ops_ratio covers the measured broker's publishes and churn calls;
@@ -447,7 +512,6 @@ def run(
     failures = (
         session.failures + mismatches + [message for calls in rep_calls for message in calls[2]]
     )
-    publishes_per_s = timed_publishes / elapsed
     base = {
         "timed_publishes": timed_publishes,
         "timed_seconds": elapsed,
@@ -471,14 +535,26 @@ def run(
         "broker_calls_attempted": attempted,
         "broker_calls_failed": failed,
         "timed_counts": delta,
+        "reference_ms": {
+            "nominal": REFERENCE_NOMINAL_S * 1e3,
+            "steady_samples": len(references),
+            "steady_quartiles": [q * 1e3 for q in statistics.quantiles(references, n=4)],
+            "setups": [reference * 1e3 for reference in setup_refs],
+        },
+        "unscaled": {
+            "publish_throughput_eps": timed_publishes / elapsed,
+            "publish_p50_ms": statistics.median(latencies) * 1e3,
+            "publish_p99_ms": _percentile(latencies, 0.99) * 1e3,
+            "setup_s": statistics.median(setups),
+        },
     }
     metrics: dict[str, tuple[float, str]]
     if not trace:
         metrics = {
-            "publish_throughput_eps": (publishes_per_s, "1/s"),
-            "publish_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
-            "publish_p99_ms": (_percentile(latencies, 0.99) * 1e3, "ms"),
-            "setup_s": (statistics.median(setups), "s"),
+            "publish_throughput_eps": (timed_publishes / scaled_seconds, "1/s"),
+            "publish_p50_ms": (statistics.median(scaled_latencies) * 1e3, "ms"),
+            "publish_p99_ms": (_percentile(scaled_latencies, 0.99) * 1e3, "ms"),
+            "setup_s": (statistics.median(scaled_setups), "s"),
             "peak_rss_mb": (peak_rss, "MB"),
             "ok_ops_ratio": (ok_ratio, "ratio"),
         }
