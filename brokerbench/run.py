@@ -409,9 +409,10 @@ def run(
                     churn_latencies.extend(churn)
             latency = session.publish()
             if latency is not None:
-                latencies.append(latency)
-                latency_windows.append(len(references) - 1)
                 phase_publishes[session.tracing] += 1
+                if not session.tracing:
+                    latencies.append(latency)
+                    latency_windows.append(len(references) - 1)
             after_op = time.perf_counter()
             # input generated on demand is not the program's time
             op_time = after_op - now - (inputs.generation_seconds - generated)
@@ -553,7 +554,6 @@ def run(
         metrics = {
             "publish_throughput_eps": (timed_publishes / scaled_seconds, "1/s"),
             "publish_p50_ms": (statistics.median(scaled_latencies) * 1e3, "ms"),
-            "publish_p99_ms": (_percentile(scaled_latencies, 0.99) * 1e3, "ms"),
             "setup_s": (statistics.median(scaled_setups), "s"),
             "peak_rss_mb": (peak_rss, "MB"),
             "ok_ops_ratio": (ok_ratio, "ratio"),
@@ -563,6 +563,7 @@ def run(
             tracer, delta, phase_time, phase_publishes, timed_publishes, rss_growth,
             churn_latencies, colds,
         )
+        metrics["publish.p99_ms"] = (_percentile(scaled_latencies, 0.99) * 1e3, "ms")
         trace_path = scratch / f"spans-{workload.name}-s{seed}.tsv"
         tracer.write(str(trace_path))
         base["spans_file"] = str(trace_path.relative_to(scratch.parent))
