@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.broker.clients import Client, ClientRegistry
+from repro.broker.clients import ClientRegistry
 from repro.broker.notifications import DeliveryOutcome, NotificationEngine
+from repro.broker.transports import bounded_append
 from repro.core.engine import SToPSS
 from repro.core.provenance import SemanticMatch
 from repro.errors import BrokerError, UnknownSubscriptionError
@@ -63,6 +64,10 @@ class EventDispatcher:
     publication (content-identical, but its intermediate auto ids are
     the original derivation's — the same reuse the engine's expansion
     cache performs).  ``result_cache_size=0`` disables the cache.
+
+    ``reports`` keeps the latest ``notifier.history_limit`` publish
+    reports, evicting the oldest; the publication, match and delivery
+    totals in :meth:`stats` are running counters over every publish.
     """
 
     def __init__(
@@ -79,6 +84,9 @@ class EventDispatcher:
         #: sub_id -> subscriber client_id
         self._subscriber_of: dict[str, str] = {}
         self.reports: list[PublishReport] = []
+        self._publications = 0
+        self._matches = 0
+        self._deliveries = 0
         self.result_cache_size = result_cache_size
         #: cache key -> tuple[SemanticMatch, ...] in LRU order
         self._result_cache: OrderedDict[tuple, tuple[SemanticMatch, ...]] = OrderedDict()
@@ -159,15 +167,18 @@ class EventDispatcher:
             raise BrokerError(f"client {client_id!r} is not a publisher")
         stamped = Event(event.items(), event_id=event.event_id, publisher_id=client_id)
         matches = self._matches_for(stamped, client_id)
-        outcomes: list[DeliveryOutcome] = []
-        for match in matches:
-            subscriber_id = self._subscriber_of.get(match.subscription.sub_id)
-            if subscriber_id is None:  # engine-only subscription (tests)
-                continue
-            subscriber: Client = self.registry.get(subscriber_id)
-            outcomes.append(self.notifier.notify(subscriber, match))
+        subscriber_of = self._subscriber_of
+        outcomes = self.notifier.notify_all(
+            (self.registry.get(subscriber_of[match.subscription.sub_id]), match)
+            for match in matches
+            # engine-only subscriptions (tests) have no subscriber
+            if match.subscription.sub_id in subscriber_of
+        )
         report = PublishReport(stamped, tuple(matches), tuple(outcomes))
-        self.reports.append(report)
+        self._publications += 1
+        self._matches += len(matches)
+        self._deliveries += report.delivered_count
+        bounded_append(self.reports, report, self.notifier.history_limit)
         return report
 
     # -- reporting ---------------------------------------------------------------------
@@ -192,9 +203,9 @@ class EventDispatcher:
         return {
             "clients": len(self.registry),
             "subscriptions": len(self.engine),
-            "publications": len(self.reports),
-            "matches": sum(r.match_count for r in self.reports),
-            "deliveries": sum(r.delivered_count for r in self.reports),
+            "publications": self._publications,
+            "matches": self._matches,
+            "deliveries": self._deliveries,
             # batched publish-path headline counters, surfaced at the
             # top level so operators need not dig through the engine:
             "batches": matcher_stats.get("batches", 0),

@@ -5,6 +5,10 @@ sends a notification to the corresponding subscriber" (paper §1).  This
 engine owns that last hop: it renders a :class:`SemanticMatch` into a
 message, walks the subscriber's transport preferences, retries
 transient failures with bounded attempts, and journals every outcome.
+A publication's fan-out goes through :meth:`NotificationEngine.notify_all`,
+which renders the text its notifications share — the publication
+header, each derivation trace, each subscriber's route — once for the
+whole fan-out and drops it when the fan-out returns.
 Undeliverable notifications land in a dead-letter list instead of
 failing the publish path — a slow SMS gateway must not stall the
 matcher.
@@ -31,17 +35,17 @@ from repro.broker.clients import Client
 from repro.broker.transports import (
     DeliveryRecord,
     OutboundMessage,
-    SmsTransport,
     TransportRegistry,
+    bounded_append,
     default_transports,
 )
-from repro.core.provenance import SemanticMatch
+from repro.core.provenance import MatchRenderer, SemanticMatch
 from repro.errors import DeliveryError, TransportError, UnknownClientError
 
 __all__ = ["Notification", "NotificationEngine", "DeliveryOutcome", "DeliveryEntry"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Notification:
     """A match destined for one subscriber, stamped with its
     subscription-scoped delivery sequence."""
@@ -64,7 +68,7 @@ class Notification:
         return "" if self.match is None else self.match.explain()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryOutcome:
     """Final fate of one notification."""
 
@@ -76,7 +80,7 @@ class DeliveryOutcome:
     error: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryEntry:
     """One row of the per-subscription delivery log: everything needed
     to re-send without the original match object (the journal stores the
@@ -91,7 +95,7 @@ class DeliveryEntry:
     status: str = "pending"  # pending | acked | dead
 
 
-@dataclass
+@dataclass(slots=True)
 class _EngineStats:
     notifications: int = 0
     delivered: int = 0
@@ -125,7 +129,8 @@ class NotificationEngine:
     history_limit: capacity of the outcome journal, the dead-letter
         list, and each subscription's delivery log; the oldest entry is
         evicted at capacity (counted in ``history_evictions``), which
-        also bounds how far back ``replay_from`` can reach.
+        also bounds how far back ``replay_from`` can reach.  Each
+        registered transport's journal is bounded by the same limit.
     durability: the broker's :class:`~repro.broker.durability
         .Durability` store, when deliveries should be journaled
         (outbox-before-send, ack-after).
@@ -148,6 +153,8 @@ class NotificationEngine:
         self.max_attempts = max_attempts_per_transport
         self.raise_on_dead_letter = raise_on_dead_letter
         self.history_limit = history_limit
+        for name in self.transports.names():
+            self.transports.get(name).history_limit = history_limit
         self.durability = durability
         self.outcomes: list[DeliveryOutcome] = []
         self.dead_letters: list[Notification] = []
@@ -163,14 +170,15 @@ class NotificationEngine:
         self._restored_pending: list[tuple[str, DeliveryEntry]] = []
         self._replay_ledger: dict[str, list[DeliveryEntry]] | None = None
         self._replay_stats = None
+        #: the open fan-out's shared text and routes (see notify_all)
+        self._fanout: _FanOut | None = None
 
     # -- bounded history ---------------------------------------------------------
 
     def _bounded_append(self, store, item) -> None:
         if len(store) >= self.history_limit:
-            del store[0]
             self.stats.history_evictions += 1
-        store.append(item)
+        bounded_append(store, item, self.history_limit)
 
     def _log_entry(self, sub_id: str, entry: DeliveryEntry) -> None:
         log = self._delivery_log.setdefault(sub_id, [])
@@ -178,10 +186,22 @@ class NotificationEngine:
 
     # -- delivery --------------------------------------------------------------
 
+    def notify_all(self, deliveries) -> list[DeliveryOutcome]:
+        """:meth:`notify` each ``(client, match)`` pair of one
+        publication's fan-out, in order.  The pairs share one
+        :class:`~repro.core.provenance.MatchRenderer` and one route per
+        client, both dropped when the fan-out returns."""
+        self._fanout = _FanOut()
+        try:
+            return [self.notify(client, match) for client, match in deliveries]
+        finally:
+            self._fanout = None
+
     def notify(self, client: Client, match: SemanticMatch) -> DeliveryOutcome:
         """Render and deliver one match to one subscriber.  During
         crash-recovery replay, regenerated matches are reconciled
         against the journaled outbox instead of blindly re-sent."""
+        fanout = self._fanout if self._fanout is not None else _FanOut()
         sub_id = match.subscription.sub_id
         if self._replay_ledger is not None:
             queue = self._replay_ledger.get(sub_id)
@@ -197,7 +217,9 @@ class NotificationEngine:
                     return DeliveryOutcome(
                         notification, None, 0, entry.status == "acked", transport="journal"
                     )
-                outcome = self._walk_transports(notification, entry.subject, entry.body)
+                outcome = self._walk_transports(
+                    notification, entry.subject, entry.body, fanout.route(client)
+                )
                 self._replay_stats.replayed_deliveries += 1
                 self._settle(sub_id, entry, outcome.delivered)
                 return self._finish(outcome)
@@ -209,7 +231,7 @@ class NotificationEngine:
             f"n{self._next_notification}", client, match, sub_id=sub_id, sequence=sequence
         )
         self._next_notification += 1
-        subject, body = notification.subject(), notification.body()
+        subject, body = notification.subject(), fanout.renderer.explain(match)
         entry = DeliveryEntry(
             sequence,
             notification.notification_id,
@@ -232,7 +254,7 @@ class NotificationEngine:
                     "body": body,
                 }
             )
-        outcome = self._walk_transports(notification, subject, body)
+        outcome = self._walk_transports(notification, subject, body, fanout.route(client))
         if self._replay_stats is not None:
             self._replay_stats.replayed_deliveries += 1
         self._settle(sub_id, entry, outcome.delivered)
@@ -251,28 +273,28 @@ class NotificationEngine:
             )
 
     def _walk_transports(
-        self, notification: Notification, subject: str, rendered_body: str
+        self,
+        notification: Notification,
+        subject: str,
+        body: str,
+        route: tuple[tuple[str, str], ...],
     ) -> DeliveryOutcome:
-        """The transport-preference walk with bounded retries; returns
-        the outcome without recording it (callers settle + finish)."""
-        client = notification.client
+        """The transport-preference walk over *route* (``(transport,
+        address)`` pairs in preference order) with bounded retries;
+        returns the outcome without recording it (callers settle +
+        finish).  Each transport renders its own payload from *body*."""
         self.stats.notifications += 1
         attempts = 0
         last_error = ""
-        preferences = client.preferred_transports()
-        if not preferences:
+        if not route:
             return DeliveryOutcome(notification, None, 0, False, error="client has no addresses")
-        for position, transport_name in enumerate(preferences):
+        for position, (transport_name, address) in enumerate(route):
             if transport_name not in self.transports:
                 last_error = f"unknown transport {transport_name!r}"
                 continue
             if position > 0:
                 self.stats.fallbacks += 1
             transport = self.transports.get(transport_name)
-            address = client.address_for(transport_name) or ""
-            body = rendered_body
-            if isinstance(transport, SmsTransport):
-                body = SmsTransport.render(subject, body)
             for attempt in range(1, self.max_attempts + 1):
                 attempts += 1
                 if attempt > 1:
@@ -347,7 +369,9 @@ class NotificationEngine:
         notification = Notification(
             entry.notification_id, client, None, sub_id=sub_id, sequence=entry.sequence
         )
-        outcome = self._walk_transports(notification, entry.subject, entry.body)
+        outcome = self._walk_transports(
+            notification, entry.subject, entry.body, _FanOut.route_of(client)
+        )
         if self.durability is not None:
             self.durability.stats.replayed_deliveries += 1
         if entry.status == "pending":
@@ -471,3 +495,29 @@ class NotificationEngine:
         self.dead_letters.clear()
         self.stats = _EngineStats()
         self.transports.reset()
+
+
+class _FanOut:
+    """What the notifications of one publication share: a
+    :class:`~repro.core.provenance.MatchRenderer` and each client's
+    route, keyed by client identity (the memo holds the client)."""
+
+    __slots__ = ("renderer", "_routes")
+
+    def __init__(self) -> None:
+        self.renderer = MatchRenderer()
+        self._routes: dict[int, tuple[Client, tuple[tuple[str, str], ...]]] = {}
+
+    def route(self, client: Client) -> tuple[tuple[str, str], ...]:
+        hit = self._routes.get(id(client))
+        if hit is None:
+            hit = self._routes[id(client)] = (client, self.route_of(client))
+        return hit[1]
+
+    @staticmethod
+    def route_of(client: Client) -> tuple[tuple[str, str], ...]:
+        """``(transport, address)`` pairs in the client's preference
+        order."""
+        return tuple(
+            (name, client.address_for(name) or "") for name in client.preferred_transports()
+        )

@@ -6,8 +6,9 @@ demo used real SMS gateways and sockets; this reproduction substitutes
 deterministic in-process simulations that preserve the properties the
 notification engine must handle:
 
-* **SMS** — tiny payload limit (messages are truncated to 160
-  characters) and moderate, injectable failure probability;
+* **SMS** — tiny payload limit (subject and body are merged and
+  truncated to 160 characters) and moderate, injectable failure
+  probability;
 * **SMTP** — full message with headers, occasional transient failures
   (greylisting) that succeed on retry;
 * **TCP** — reliable and connection-oriented: per-address connection
@@ -16,13 +17,16 @@ notification engine must handle:
   *dropped* silently (recorded in the journal, invisible to callers).
 
 All randomness is seeded, so tests and benchmarks are reproducible.
+Each transport keeps running delivery counters for every send ever made
+and a journal of its most recent ``history_limit`` records (the
+notification engine sets the limit to its own ``history_limit``).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.errors import TransportError
@@ -47,7 +51,7 @@ DROPPED = "dropped"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutboundMessage:
     """One message handed to a transport."""
 
@@ -60,7 +64,7 @@ class OutboundMessage:
     message_id: str = field(default_factory=lambda: f"m{next(_message_counter)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """The transport's verdict on one send."""
 
@@ -81,12 +85,15 @@ class Transport:
     ``failure_rate`` is the probability a send raises
     :class:`~repro.errors.TransportError` (retryable); the seeded
     ``rng`` makes behaviour reproducible.  :meth:`fail_next` forces
-    deterministic failures for tests.
+    deterministic failures for tests.  ``journal`` keeps the latest
+    ``history_limit`` records, evicting the oldest; :meth:`stats` counts
+    every send ever made.
     """
 
     name = "abstract"
     base_latency_ms = 1.0
     reliable = True
+    history_limit = 1024
 
     def __init__(self, *, failure_rate: float = 0.0, seed: int = 0) -> None:
         if not 0.0 <= failure_rate < 1.0:
@@ -94,6 +101,7 @@ class Transport:
         self.failure_rate = failure_rate
         self.rng = random.Random(seed)
         self.journal: list[DeliveryRecord] = []
+        self._counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
         self._forced_failures = 0
 
     # -- test / chaos hooks ---------------------------------------------------
@@ -104,21 +112,28 @@ class Transport:
 
     # -- sending -----------------------------------------------------------------
 
+    def render(self, subject: str, body: str) -> str:
+        """The payload this transport carries for a notification; the
+        full body unless the medium needs something else."""
+        return body
+
     def send(self, message: OutboundMessage) -> DeliveryRecord:
         """Attempt delivery; raises :class:`TransportError` on failure
         (the notification engine owns retry policy)."""
         if self._forced_failures > 0:
             self._forced_failures -= 1
-            record = DeliveryRecord(message, FAILED, self.base_latency_ms, "forced failure")
-            self.journal.append(record)
+            self._record(DeliveryRecord(message, FAILED, self.base_latency_ms, "forced failure"))
             raise TransportError(f"{self.name}: forced failure for {message.address!r}")
         if self.failure_rate and self.rng.random() < self.failure_rate:
-            record = DeliveryRecord(message, FAILED, self.base_latency_ms, "transient failure")
-            self.journal.append(record)
+            self._record(DeliveryRecord(message, FAILED, self.base_latency_ms, "transient failure"))
             raise TransportError(f"{self.name}: transient failure for {message.address!r}")
         record = self._transmit(message)
-        self.journal.append(record)
+        self._record(record)
         return record
+
+    def _record(self, record: DeliveryRecord) -> None:
+        self._counts[record.status] = self._counts.get(record.status, 0) + 1
+        bounded_append(self.journal, record, self.history_limit)
 
     def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
         return DeliveryRecord(message, DELIVERED, self._latency())
@@ -131,20 +146,21 @@ class Transport:
     # -- journal -----------------------------------------------------------------------
 
     def delivered(self) -> Iterator[DeliveryRecord]:
+        """Delivered records still in the (bounded) journal."""
         return (r for r in self.journal if r.status == DELIVERED)
 
     def delivered_count(self) -> int:
-        return sum(1 for _ in self.delivered())
+        """Deliveries ever made, evicted journal records included."""
+        return self._counts[DELIVERED]
 
     def stats(self) -> dict[str, int]:
-        counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
-        for record in self.journal:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        counts["total"] = len(self.journal)
+        counts = dict(self._counts)
+        counts["total"] = sum(counts.values())
         return counts
 
     def reset(self) -> None:
         self.journal.clear()
+        self._counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
         self._forced_failures = 0
 
 
@@ -159,17 +175,21 @@ class SmsTransport(Transport):
         super().__init__(failure_rate=failure_rate, seed=seed)
 
     def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
-        payload = message.body
+        payload = self.render(message.subject, message.body)
         detail = ""
-        if len(payload) > self.MAX_LENGTH:
+        if len(payload) < len(self._merge(message.subject, message.body)):
             detail = f"truncated to {self.MAX_LENGTH} characters"
-        return DeliveryRecord(message, DELIVERED, self._latency(), detail)
+        sent = replace(message, body=payload)
+        return DeliveryRecord(sent, DELIVERED, self._latency(), detail)
+
+    @staticmethod
+    def _merge(subject: str, body: str) -> str:
+        return f"{subject}: {body}"
 
     @classmethod
     def render(cls, subject: str, body: str) -> str:
         """SMS payloads merge subject and body, then truncate."""
-        combined = f"{subject}: {body}"
-        return combined[: cls.MAX_LENGTH]
+        return cls._merge(subject, body)[: cls.MAX_LENGTH]
 
 
 class SmtpTransport(Transport):
@@ -190,7 +210,7 @@ class SmtpTransport(Transport):
             f"Subject: {message.subject}\n\n"
             f"{message.body}\n"
         )
-        self.sent_mail.append(mail)
+        bounded_append(self.sent_mail, mail, self.history_limit)
         return DeliveryRecord(message, DELIVERED, self._latency())
 
 
@@ -232,6 +252,14 @@ class UdpTransport(Transport):
         if self.drop_rate and self.rng.random() < self.drop_rate:
             return DeliveryRecord(message, DROPPED, self._latency(), "datagram lost")
         return DeliveryRecord(message, DELIVERED, self._latency())
+
+
+def bounded_append(store: list, item, limit: int) -> None:
+    """Append *item*, first evicting the oldest entry when *store* holds
+    *limit* entries — the eviction rule of every publish-side history."""
+    if len(store) >= limit:
+        del store[0]
+    store.append(item)
 
 
 class TransportRegistry:

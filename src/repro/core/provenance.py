@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 
-__all__ = ["DerivationStep", "DerivedEvent", "SemanticMatch"]
+__all__ = ["DerivationStep", "DerivedEvent", "MatchRenderer", "SemanticMatch"]
 
 #: Stage identifiers used in derivation steps.
 STAGE_SYNONYM = "synonym"
@@ -206,11 +206,44 @@ class SemanticMatch:
 
     def explain(self) -> str:
         """Demo-facing narrative: what matched and why."""
+        return MatchRenderer().explain(self)
+
+
+class MatchRenderer:
+    """Composes :meth:`SemanticMatch.explain` texts, sharing the parts
+    that matches of one publication have in common.
+
+    A narrative is three parts: the subscription text (cached on the
+    immutable :class:`~repro.model.subscriptions.Subscription`), the
+    publication header ``{event_id} [{event.format()}]``, and the
+    ``matched_via`` derivation trace.  Every match of a publish carries
+    the same event and many share a derived event, so one renderer used
+    across a publish's fan-out formats each of them once.  The memo is
+    keyed by object identity and holds a reference to every key, so an
+    id is never recycled while the renderer lives; keep a renderer for
+    one publish only — a longer-lived one would retain its events.
+    """
+
+    __slots__ = ("_headers", "_traces")
+
+    def __init__(self) -> None:
+        self._headers: dict[int, tuple[Event, str]] = {}
+        self._traces: dict[int, tuple[DerivedEvent, str]] = {}
+
+    def explain(self, match: SemanticMatch) -> str:
+        event = match.event
+        hit = self._headers.get(id(event))
+        if hit is None:
+            hit = self._headers[id(event)] = (event, f"{event.event_id} [{event.format()}]")
+        subscription = match.subscription
         header = (
-            f"subscription {self.subscription.sub_id} "
-            f"[{self.subscription.format()}] matched event "
-            f"{self.event.event_id} [{self.event.format()}]"
+            f"subscription {subscription.sub_id} [{subscription.format()}] "
+            f"matched event {hit[1]}"
         )
-        if not self.is_semantic:
+        derived = match.matched_via
+        if derived.is_original:
             return header + " — exact syntactic match"
-        return header + "\n" + self.matched_via.explain()
+        trace = self._traces.get(id(derived))
+        if trace is None:
+            trace = self._traces[id(derived)] = (derived, derived.explain())
+        return header + "\n" + trace[1]

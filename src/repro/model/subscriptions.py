@@ -158,10 +158,26 @@ class Subscription:
 
     def format(self) -> str:
         """Render in the paper's notation:
-        ``(university = Toronto) and (degree = PhD)``."""
+        ``(university = Toronto) and (degree = PhD)``.
+
+        Computed once and kept on the instance (every notification body
+        quotes it); the cached text is not a field, so equality, hashing
+        and pickling ignore it."""
+        try:
+            return self._text
+        except AttributeError:
+            pass
         if not self.predicates:
-            return "(true)"
-        return " and ".join(str(pred) for pred in self.predicates)
+            text = "(true)"
+        else:
+            text = " and ".join(str(pred) for pred in self.predicates)
+        object.__setattr__(self, "_text", text)
+        return text
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_text", None)
+        return state
 
     def __repr__(self) -> str:
         return f"Subscription({self.sub_id}: {self.format()})"

@@ -105,6 +105,26 @@ class TestPublishing:
         broker.publish(candidate.client_id, "(a, 2)")
         assert len(broker.dispatcher.reports) == 2
 
+    def test_reports_bounded_totals_counted(self):
+        from repro.broker.dispatcher import EventDispatcher
+        from repro.broker.notifications import NotificationEngine
+        from repro.core.engine import SToPSS
+
+        dispatcher = EventDispatcher(
+            SToPSS(build_jobs_knowledge_base()), notifier=NotificationEngine(history_limit=3)
+        )
+        company = dispatcher.registry.register(
+            "Initech", kind=ClientKind.SUBSCRIBER, addresses=(("tcp", "h:1"),)
+        )
+        candidate = dispatcher.registry.register("Ada", kind=ClientKind.PUBLISHER)
+        dispatcher.subscribe(company.client_id, parse_subscription("(degree = PhD)"))
+        for index in range(5):
+            dispatcher.publish(candidate.client_id, parse_event(f"(degree, PhD)(n, {index})"))
+        assert len(dispatcher.reports) == 3
+        assert [r.event["n"] for r in dispatcher.reports] == [2, 3, 4]
+        stats = dispatcher.stats()
+        assert (stats["publications"], stats["matches"], stats["deliveries"]) == (5, 5, 5)
+
 
 class TestModes:
     def test_mode_switching(self, broker):

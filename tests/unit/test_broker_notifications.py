@@ -99,6 +99,30 @@ class TestDelivery:
         record = engine.transports.get("sms").journal[-1]
         assert len(record.message.body) <= SmsTransport.MAX_LENGTH
 
+    def test_sms_truncation_recorded_through_notify(self):
+        engine = _engine()
+        event = Event({"degree": "PhD", "summary": "x" * 400}, event_id="e1")
+        sub = Subscription([Predicate.eq("degree", "PhD")], sub_id="s1")
+        match = SemanticMatch(sub, event, DerivedEvent.original(event), 0)
+        engine.notify(_client(("sms", "+1")), match)
+        record = engine.transports.get("sms").journal[-1]
+        assert record.detail == "truncated to 160 characters"
+        subject = "S-ToPSS: subscription s1 matched event e1"
+        assert record.message.body == SmsTransport.render(subject, match.explain())
+
+    def test_short_sms_not_marked_truncated(self):
+        engine = _engine()
+        engine.notify(_client(("sms", "+1")), _match())
+        assert engine.transports.get("sms").journal[-1].detail == ""
+
+    def test_transports_bounded_by_history_limit(self):
+        engine = _engine(history_limit=2)
+        for _ in range(5):
+            engine.notify(_client(("smtp", "hr@x")), _match())
+        smtp = engine.transports.get("smtp")
+        assert len(smtp.journal) == 2 and len(smtp.sent_mail) == 2
+        assert smtp.stats()["total"] == smtp.delivered_count() == 5
+
     def test_invalid_max_attempts(self):
         with pytest.raises(DeliveryError):
             _engine(max_attempts_per_transport=0)

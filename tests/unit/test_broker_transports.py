@@ -61,12 +61,28 @@ class TestBaseBehaviour:
         with pytest.raises(TransportError):
             TcpTransport(failure_rate=1.5)
 
+    def test_journal_bounded_counters_count_every_send(self):
+        transport = TcpTransport()
+        transport.history_limit = 3
+        transport.fail_next(2)
+        for _ in range(2):
+            with pytest.raises(TransportError):
+                transport.send(_message())
+        records = [transport.send(_message()) for _ in range(4)]
+        assert transport.journal == records[1:]
+        assert transport.stats() == {DELIVERED: 4, DROPPED: 0, FAILED: 2, "total": 6}
+        assert transport.delivered_count() == 4
+
+    def test_default_render_is_the_body(self):
+        assert TcpTransport().render("subj", "hello") == "hello"
+
     def test_reset(self):
         transport = TcpTransport()
         transport.send(_message())
         transport.fail_next()
         transport.reset()
         assert transport.journal == []
+        assert transport.stats()["total"] == 0
         assert transport.send(_message()).ok  # forced failure cleared
 
 
